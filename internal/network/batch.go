@@ -104,10 +104,9 @@ func arenaReqsPerReplica(cfg *Config) int {
 // propagation, so 2N pooled events cover the engine without lazy growth.
 func deliveriesPerReplica(nodes int) int { return 2 * nodes }
 
-// NewBatch builds K replicas over one shared arena. Every config must own
-// its simulator (Sim == nil — a batch IS the scheduler that interleaves
-// replicas) and carry its own Protocol instance; configs may differ in any
-// field, including topology. It returns the batch, or the first
+// NewBatch builds K replicas over one shared arena. Every config must carry
+// its own Protocol instance; configs may differ in any field, including
+// topology. It returns the batch, or the first
 // construction error annotated with the replica index.
 func NewBatch(cfgs []Config) (*Batch, error) {
 	if len(cfgs) == 0 {
@@ -117,9 +116,6 @@ func NewBatch(cfgs []Config) (*Batch, error) {
 	// scratch kind.
 	var sizes struct{ reqs, pts, grants, denied, deliveries int }
 	for i := range cfgs {
-		if cfgs[i].Sim != nil {
-			return nil, fmt.Errorf("network: batch replica %d carries a shared simulator", i)
-		}
 		n := cfgs[i].Params.Nodes
 		sizes.reqs += arenaReqsPerReplica(&cfgs[i])
 		sizes.pts += n + 2

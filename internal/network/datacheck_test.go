@@ -4,8 +4,10 @@ import (
 	"testing"
 
 	"ccredf/internal/core"
+	"ccredf/internal/obs"
 	"ccredf/internal/ring"
 	"ccredf/internal/sched"
+	"ccredf/internal/stats"
 	"ccredf/internal/timing"
 )
 
@@ -116,5 +118,36 @@ func TestLossAndCorruptionCompose(t *testing.T) {
 	}
 	if mt.Retransmits.Value() != mt.FragmentsDropped.Value() {
 		t.Fatal("retransmit accounting wrong")
+	}
+}
+
+// TestDataCheckFieldWidths pins the data checker at the header's field
+// widths: a value that does not fit Total/Fragment (16 bits) or MsgID (32
+// bits) counts as a wire error instead of wrapping identically on both sides
+// of the round trip and passing.
+func TestDataCheckFieldWidths(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		id       int64
+		slots    int
+		sent     int
+		wantErrs int64
+	}{
+		{"widest message, last fragment", 1, 65535, 65535, 0},
+		{"too many fragments", 1, 70000, 65537, 1},
+		{"message ID beyond 32 bits", 1 << 32, 1, 1, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var errs stats.Counter
+			d := &dataChecker{nodes: 8, payloadBytes: timing.DefaultParams(8).SlotPayloadBytes, errs: &errs}
+			d.OnEvent(&obs.Event{
+				Kind:  obs.KindFragmentSent,
+				Msg:   &sched.Message{ID: tc.id, Class: sched.ClassRealTime, Src: 0, Dests: ring.Node(2), Slots: tc.slots, Sent: tc.sent},
+				Grant: core.Grant{Node: 0, Dests: ring.Node(2)},
+			})
+			if got := errs.Value(); got != tc.wantErrs {
+				t.Fatalf("wire errors = %d, want %d", got, tc.wantErrs)
+			}
+		})
 	}
 }

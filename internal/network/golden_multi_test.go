@@ -3,11 +3,10 @@ package network
 import (
 	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"ccredf/internal/core"
+	"ccredf/internal/fault"
 	"ccredf/internal/ring"
 	"ccredf/internal/sched"
 	"ccredf/internal/timing"
@@ -82,38 +81,108 @@ func goldenMultiScenario(t *testing.T) []byte {
 // Regenerate deliberately with
 // `go test ./internal/network -run GoldenMulti -update-golden`.
 func TestGoldenMultiTrace(t *testing.T) {
-	got := goldenMultiScenario(t)
-	path := filepath.Join("testdata", "golden_multi_trace.txt")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", path, len(got))
-		return
-	}
-	want, err := os.ReadFile(path)
+	compareGolden(t, "golden_multi_trace.txt", goldenMultiScenario(t))
+}
+
+// goldenMultiFaultScenario runs three bridged rings through the paths the
+// fault-free golden never reaches: reliable retransmission on every ring, a
+// fault plan on the middle ring whose crash silences the elected master (the
+// ring then waits on a heap-scheduled recovery while its neighbours keep
+// clocking) and takes a bridge station down, cross traffic over both
+// bridges, and a run horizon that lands inside a slot.
+func goldenMultiFaultScenario(t *testing.T) []byte {
+	t.Helper()
+	topo, err := topology.New(topology.Spec{
+		Rings: []int{5, 7, 6},
+		Bridges: []topology.Bridge{
+			{RingA: 0, NodeA: 2, RingB: 1, NodeB: 0},
+			{RingA: 1, NodeA: 4, RingB: 2, NodeB: 0},
+		},
+	})
 	if err != nil {
-		t.Fatalf("missing golden file (run with -update-golden once): %v", err)
+		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
-		for i := 0; i < len(gl) && i < len(wl); i++ {
-			if !bytes.Equal(gl[i], wl[i]) {
-				t.Fatalf("trace diverges from golden at line %d:\n got: %s\nwant: %s",
-					i+1, gl[i], wl[i])
-			}
+	plan, err := fault.ParseSpec("coll=0.01,ho=0.01,crash=1@40+30,crash=0@90+20,seed=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := []int{5, 7, 6}
+	cfgs := make([]Config, len(sizes))
+	for i, n := range sizes {
+		arb, err := core.NewArbiter(n, sched.Map5Bit, true)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Fatalf("trace length changed: got %d lines, want %d", len(gl), len(wl))
+		cfgs[i] = Config{
+			Params: timing.DefaultParams(n), Protocol: arb, Seed: uint64(200 + i),
+			LossProb: 0.02, Reliable: true,
+		}
 	}
+	cfgs[1].Faults = &plan
+	m, err := NewMulti(MultiConfig{Topo: topo, RingConfigs: cfgs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracers := make([]*trace.Tracer, len(sizes))
+	for i := range tracers {
+		tracers[i] = trace.New(0)
+		m.Ring(i).AttachWireCheck()
+		m.Ring(i).AttachInvariantChecker()
+		m.Ring(i).AttachTracer(tracers[i])
+	}
+	slot := m.Ring(0).Params().SlotTime()
+	for _, req := range []CrossRequest{
+		{SrcRing: 0, Src: 0, DstRing: 2, Dests: ring.Node(3), Period: 20 * slot, Slots: 1, Deadline: 36 * slot},
+		{SrcRing: 2, Src: 4, DstRing: 0, Dests: ring.Node(1), Period: 24 * slot, Slots: 2, Deadline: 45 * slot},
+	} {
+		if _, err := m.OpenCross(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for ri := range sizes {
+		if _, err := m.Ring(ri).OpenConnection(sched.Connection{
+			Src: 1, Dests: ring.Node(3), Period: 7 * slot, Slots: 1,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.RunSlots(100)
+	m.Run(m.Now() + 12345)
+	m.RunSlots(300)
+	for ri := range sizes {
+		if v := m.Ring(ri).Metrics().InvariantViolations.Value(); v != 0 {
+			t.Fatalf("ring %d has invariant violations: %v", ri, m.Ring(ri).Metrics().Violations)
+		}
+		if v := m.Ring(ri).Metrics().WireErrors.Value(); v != 0 {
+			t.Fatalf("ring %d has %d wire errors", ri, v)
+		}
+	}
+	var out bytes.Buffer
+	for ri, tr := range tracers {
+		fmt.Fprintf(&out, "--- ring %d ---\n", ri)
+		if err := tr.WriteText(&out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out.Bytes()
+}
+
+// TestGoldenMultiFaultTrace pins multi-ring execution under faults: a ring
+// left silent by a master loss and re-armed by its recovery timeout, a dead
+// bridge, retransmissions and a mid-slot horizon, all on one shared clock.
+// Regenerate deliberately with
+// `go test ./internal/network -run GoldenMulti -update-golden`.
+func TestGoldenMultiFaultTrace(t *testing.T) {
+	compareGolden(t, "golden_multi_fault_trace.txt", goldenMultiFaultScenario(t))
 }
 
 func TestGoldenMultiScenarioDeterminism(t *testing.T) {
-	a := goldenMultiScenario(t)
-	b := goldenMultiScenario(t)
-	if !bytes.Equal(a, b) {
-		t.Fatal("golden multi scenario is not deterministic")
+	for name, scenario := range map[string]func(*testing.T) []byte{
+		"fault-free": goldenMultiScenario,
+		"faults":     goldenMultiFaultScenario,
+	} {
+		if !bytes.Equal(scenario(t), scenario(t)) {
+			t.Fatalf("golden multi scenario %s is not deterministic", name)
+		}
 	}
 }

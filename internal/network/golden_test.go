@@ -68,8 +68,14 @@ func goldenScenario(t *testing.T) []byte {
 // diff against testdata/golden_trace.txt. Regenerate deliberately with
 // `go test ./internal/network -run Golden -update-golden`.
 func TestGoldenTrace(t *testing.T) {
-	got := goldenScenario(t)
-	path := filepath.Join("testdata", "golden_trace.txt")
+	compareGolden(t, "golden_trace.txt", goldenScenario(t))
+}
+
+// compareGolden checks got against testdata/name, or rewrites the file under
+// -update-golden, failing at the first differing line.
+func compareGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -85,7 +91,6 @@ func TestGoldenTrace(t *testing.T) {
 		t.Fatalf("missing golden file (run with -update-golden once): %v", err)
 	}
 	if !bytes.Equal(got, want) {
-		// Find the first differing line for a readable failure.
 		gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
 		for i := 0; i < len(gl) && i < len(wl); i++ {
 			if !bytes.Equal(gl[i], wl[i]) {

@@ -19,9 +19,9 @@ import (
 type MultiConfig struct {
 	// Topo is the compiled topology. Required.
 	Topo *topology.Topology
-	// RingConfigs holds one Config per ring, in ring-index order. Each
-	// Config.Sim is overwritten with the shared kernel; everything else —
-	// protocol, params, faults, observers — is per ring.
+	// RingConfigs holds one Config per ring, in ring-index order. The rings
+	// share one event kernel; everything else — protocol, params, faults,
+	// observers — is per ring.
 	RingConfigs []Config
 	// RelaySlots is the store-and-forward latency of a bridge in slot times
 	// of the downstream ring (default 1: the bridge re-queues a fragment
@@ -147,7 +147,7 @@ func NewMulti(cfg MultiConfig) (*MultiNet, error) {
 	adms := make([]*sched.Admission, 0, cfg.Topo.Rings())
 	for i := range cfg.RingConfigs {
 		rc := cfg.RingConfigs[i]
-		rc.Sim = m.sim
+		rc.sim = m.sim
 		if rc.Params.Nodes != cfg.Topo.Ring(i).Nodes() {
 			return nil, fmt.Errorf("network: ring %d params for %d nodes, topology says %d",
 				i, rc.Params.Nodes, cfg.Topo.Ring(i).Nodes())
@@ -176,18 +176,18 @@ func NewMulti(cfg MultiConfig) (*MultiNet, error) {
 		slot := m.rings[b.RingB].Params().SlotTime()
 		m.relay = append(m.relay, timing.Time(cfg.RelaySlots)*slot)
 	}
+	for _, net := range m.rings {
+		net.engines = m.rings
+	}
 	m.e2e = sched.NewEndToEnd(adms, len(m.bridges))
 	return m, nil
 }
 
-// Sim exposes the shared event kernel.
-func (m *MultiNet) Sim() *des.Simulator { return m.sim }
-
 // Now returns the current simulated time.
 func (m *MultiNet) Now() timing.Time { return m.sim.Now() }
 
-// Run advances every ring's slot loop (they share one kernel) to time t.
-func (m *MultiNet) Run(until timing.Time) { m.sim.Run(until) }
+// Run advances every ring's slot loop (they share one kernel) to time until.
+func (m *MultiNet) Run(until timing.Time) { runEngines(m.sim, m.rings, until) }
 
 // RunSlots advances by approximately count slots of ring 0.
 func (m *MultiNet) RunSlots(count int64) {

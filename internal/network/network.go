@@ -10,6 +10,7 @@ package network
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 
 	"ccredf/internal/core"
@@ -85,12 +86,11 @@ type Config struct {
 	// Nil disables the controller entirely: the engine performs one nil
 	// check per slot and the run is byte-identical to a mode-free build.
 	Mode *mode.Spec
-	// Sim, when non-nil, is the event kernel the network schedules on instead
-	// of creating its own. A multi-ring topology (MultiNet) passes one shared
+
+	// sim optionally supplies the event kernel. NewMulti passes one shared
 	// simulator to every ring so their slot loops interleave on a single
-	// deterministic clock. Nil — every pre-topology caller — keeps the
-	// private-kernel behaviour byte-identical.
-	Sim *des.Simulator
+	// deterministic clock; New creates a private one when nil.
+	sim *des.Simulator
 
 	// table optionally supplies a precomputed timing table for Params.
 	// NewBatch shares one table across every replica of the same physical
@@ -242,38 +242,27 @@ type Network struct {
 	// its per-round storage. sampledSpare/sampled2Spare double-buffer the
 	// request slates (arbitrate swaps and resets in place, so the slate an
 	// arbitration event exposed stays intact until the next round), combined
-	// is the 2N scratch for the secondary-request extension, the handler
-	// fields are the per-slot des handlers bound once at construction
-	// (binding per schedule would allocate a closure per event), and
+	// is the 2N scratch for the secondary-request extension, and
 	// freeDeliveries pools the in-flight fragment-delivery events.
 	sampledSpare   []core.Request
 	sampled2Spare  []core.Request
 	combined       []core.Request
-	sampleFns      []des.Handler
-	arbitrateFn    des.Handler
-	endSlotFn      des.Handler
-	startSlotFn    des.Handler
 	freeDeliveries *delivery
 
-	// Inline slot execution (DESIGN.md §14). When the network owns its
-	// simulator (cfg.Sim == nil) the fixed per-slot schedule — N collection
-	// samples, the arbitration and the slot end — is not pushed through the
-	// event heap at all: startSlot records the points in inlinePts with their
-	// reserved sequence numbers (des.ReserveSeq) and Run executes them
-	// directly, draining genuinely dynamic events (deliveries, traffic
-	// generators, fault-recovery timeouts) from the heap exactly where the
-	// (time, seq) order would have interleaved them. That removes ~N+3 heap
-	// push/pop pairs per slot while keeping every run byte-identical to the
-	// event-driven path, which MultiNet (a shared cfg.Sim) still uses.
-	// inlineNext is the cursor into inlinePts; slotPending/nextSlotAt/
-	// nextSlotSeq hold the reserved start of the next slot so a Run horizon
-	// may land anywhere inside a slot and resume later (mid-slot suspension).
-	inline      bool
-	inlinePts   []enginePoint
-	inlineNext  int
-	slotPending bool
-	nextSlotAt  timing.Time
-	nextSlotSeq uint64
+	// Slot execution (DESIGN.md §12, "Execution model"). The fixed per-slot
+	// schedule — the slot start, N collection samples, the arbitration and
+	// the slot end — never enters the event heap: it is recorded in pts as
+	// engine points under reserved sequence numbers (des.ReserveSeq), and
+	// runEngines executes them directly, draining the genuinely dynamic heap
+	// events (deliveries, traffic generators, fault-recovery timeouts)
+	// exactly where the (time, seq) order interleaves them. cur is the
+	// cursor into pts; cur == len(pts) means the ring is silent, awaiting a
+	// recovery timeout. A Run horizon may land anywhere and the cursor
+	// resumes the slot on the next call. engines lists the rings sharing sim,
+	// this one included: Run advances all of them.
+	pts     []enginePoint
+	cur     int
+	engines []*Network
 
 	msgSeq    int64
 	conns     map[int]*connState
@@ -297,12 +286,12 @@ type Network struct {
 	modeCtl *mode.Controller
 }
 
-// enginePoint is one inline-executed engine event: an operation to run at a
-// simulated time under a sequence number reserved from the simulator, so its
-// order against heap-scheduled events matches the event-driven execution.
-// The operation is encoded as an opcode plus node index rather than a bound
-// handler: runInline dispatches with direct method calls, where a des.Handler
-// costs a closure indirection per point (ten per slot).
+// enginePoint is one engine event: an operation to run at a simulated time
+// under a sequence number reserved from the simulator, so it has a place in
+// the simulator's (time, seq) order without being queued. The operation is
+// encoded as an opcode plus node index rather than a bound handler:
+// runPoints dispatches with direct method calls, where a des.Handler costs a
+// closure indirection per point.
 type enginePoint struct {
 	when timing.Time
 	seq  uint64
@@ -312,10 +301,16 @@ type enginePoint struct {
 
 // enginePoint opcodes, in within-slot order.
 const (
-	opSample uint8 = iota
+	opStartSlot uint8 = iota
+	opSample
 	opArbitrate
 	opEndSlot
 )
+
+// before reports whether p precedes q in the simulator's (time, seq) order.
+func (p *enginePoint) before(q *enginePoint) bool {
+	return p.when < q.when || (p.when == q.when && p.seq < q.seq)
+}
 
 // delivery is a pooled in-flight fragment: the des event payload for the
 // arrival of one granted transmission. fire is bound into fn once, when the
@@ -378,8 +373,7 @@ func New(cfg Config) (*Network, error) {
 	if cfg.DesignatedNode < 0 || cfg.DesignatedNode >= r.Nodes() {
 		return nil, fmt.Errorf("network: designated node %d outside ring", cfg.DesignatedNode)
 	}
-	sim := cfg.Sim
-	inline := sim == nil
+	sim := cfg.sim
 	if sim == nil {
 		sim = des.New()
 	}
@@ -409,14 +403,12 @@ func New(cfg Config) (*Network, error) {
 		sampled:      newReqs(r.Nodes()),
 		sampledSpare: newReqs(r.Nodes()),
 		conns:        make(map[int]*connState),
-		inline:       inline,
 	}
-	if inline {
-		if cfg.arena != nil {
-			n.inlinePts = cfg.arena.takePts(r.Nodes() + 2)
-		} else {
-			n.inlinePts = make([]enginePoint, 0, r.Nodes()+2)
-		}
+	n.engines = []*Network{n}
+	if cfg.arena != nil {
+		n.pts = cfg.arena.takePts(r.Nodes() + 2)
+	} else {
+		n.pts = make([]enginePoint, 0, r.Nodes()+2)
 	}
 	if cfg.Faults.Enabled() {
 		inj, err := fault.New(*cfg.Faults, r.Nodes())
@@ -438,7 +430,6 @@ func New(cfg Config) (*Network, error) {
 		n.sampled2Spare = newReqs(r.Nodes())
 		n.combined = newReqs(2 * r.Nodes())[:0]
 	}
-	n.sampleFns = make([]des.Handler, r.Nodes())
 	for i := 0; i < r.Nodes(); i++ {
 		nd := node.New(i)
 		if cfg.SecondaryRequests {
@@ -451,12 +442,7 @@ func New(cfg Config) (*Network, error) {
 			n.sampled2[i].Node = i
 			n.sampled2Spare[i].Node = i
 		}
-		i := i
-		n.sampleFns[i] = func(t timing.Time) { n.sample(i, t) }
 	}
-	n.arbitrateFn = n.arbitrate
-	n.endSlotFn = n.endSlot
-	n.startSlotFn = n.startSlot
 	if cfg.arena != nil {
 		// Prewire the delivery pool from the arena's contiguous block: the
 		// free list then never grows on the heap in steady state, and every
@@ -480,17 +466,11 @@ func New(cfg Config) (*Network, error) {
 	return n, nil
 }
 
-// scheduleNextSlot arranges for startSlot to run at time at. The event-driven
-// path posts it on the heap; the inline path reserves the identical sequence
-// number and lets Run execute it directly.
+// scheduleNextSlot makes the start of the next slot, at time at, the ring's
+// only engine point. Callers run with the previous slot's points exhausted.
 func (n *Network) scheduleNextSlot(at timing.Time) {
-	if n.inline {
-		n.nextSlotAt = at
-		n.nextSlotSeq = n.sim.ReserveSeq()
-		n.slotPending = true
-		return
-	}
-	n.sim.Post(at, n.startSlotFn)
+	n.pts = append(n.pts[:0], enginePoint{when: at, seq: n.sim.ReserveSeq(), op: opStartSlot})
+	n.cur = 0
 }
 
 // Now returns the current simulated time.
@@ -504,72 +484,93 @@ func (n *Network) At(t timing.Time, fn func(timing.Time)) { n.sim.Post(t, fn) }
 // After schedules fn d after the current time.
 func (n *Network) After(d timing.Time, fn func(timing.Time)) { n.sim.PostAfter(d, fn) }
 
-// Run advances the simulation to the given absolute time.
-func (n *Network) Run(until timing.Time) {
-	if n.inline {
-		n.runInline(until)
-		return
+// Run advances the simulation to the given absolute time. On a multi-ring
+// fabric every ring sharing the clock advances with this one.
+func (n *Network) Run(until timing.Time) { runEngines(n.sim, n.engines, until) }
+
+// runEngines advances the rings sharing sim to until. Every ring's engine
+// points and every heap event hold distinct places in one (time, seq) order;
+// the executor walks it by running the ring whose next point comes first
+// until the runner-up's point is due, draining the heap events ordered
+// before each point. The horizon may land anywhere — mid-slot, mid-gap, or
+// during a recovery silence — and each ring's cursor picks its slot up on
+// the next call.
+//
+// A ring with no pending point is silent, awaiting a recovery timeout
+// (master loss, failed hand-over). Only a heap handler can re-arm it, and
+// the re-armed ring's first point may precede every other ring's, so while
+// any ring is silent heap events are stepped one at a time and the leading
+// ring is chosen afresh after each. While every ring has a pending point no
+// heap handler can add one, and heap events drain in bulk.
+func runEngines(sim *des.Simulator, nets []*Network, until timing.Time) {
+	for {
+		var lead *Network
+		var first, second *enginePoint
+		silent := false
+		for _, n := range nets {
+			if n.cur == len(n.pts) {
+				silent = true
+				continue
+			}
+			pt := &n.pts[n.cur]
+			if first == nil || pt.before(first) {
+				lead, first, second = n, pt, first
+			} else if second == nil || pt.before(second) {
+				second = pt
+			}
+		}
+		if lead == nil || first.when > until {
+			if silent {
+				if sim.StepUpTo(until) {
+					continue
+				}
+			} else {
+				for sim.StepUpTo(until) {
+				}
+			}
+			sim.AdvanceTo(until)
+			return
+		}
+		// The lead ring runs up to the runner-up's point or, when that lies
+		// beyond the horizon, through every point due by until.
+		limit := enginePoint{when: until, seq: math.MaxUint64}
+		if second != nil && second.before(&limit) {
+			limit = *second
+		}
+		lead.runPoints(&limit, silent)
 	}
-	n.sim.Run(until)
 }
 
-// runInline advances the simulation to until by executing the recorded engine
-// points directly, draining heap events (deliveries, traffic, recovery
-// timeouts) wherever the (time, seq) order interleaves them. The horizon may
-// land anywhere — mid-slot, mid-gap, or during a recovery silence — and the
-// cursor state picks the slot up on the next call.
-func (n *Network) runInline(until timing.Time) {
-	for {
-		// Run the active slot's remaining engine points.
-		for n.inlineNext < len(n.inlinePts) {
-			pt := n.inlinePts[n.inlineNext]
-			if pt.when > until {
-				// Suspended mid-slot: finish the due heap events and park.
-				for n.sim.StepUpTo(until) {
-				}
-				n.sim.AdvanceTo(until)
-				return
-			}
-			if n.sim.PeekBefore(pt.when, pt.seq) {
-				// A heap event interleaves before this point; it is in
-				// horizon because its time is at most pt.when ≤ until.
-				for n.sim.StepBefore(until, pt.when, pt.seq) {
-				}
-			}
-			n.inlineNext++
-			n.sim.AdvanceTo(pt.when)
-			switch pt.op {
-			case opSample:
-				n.sample(int(pt.idx), pt.when)
-			case opArbitrate:
-				n.arbitrate(pt.when)
-			default:
-				n.endSlot(pt.when)
-			}
-		}
-		// The slot is complete; cross the hand-over gap into the next one.
-		if n.slotPending {
-			if n.nextSlotAt > until {
-				for n.sim.StepUpTo(until) {
-				}
-				n.sim.AdvanceTo(until)
-				return
-			}
-			if n.sim.PeekBefore(n.nextSlotAt, n.nextSlotSeq) {
-				for n.sim.StepBefore(until, n.nextSlotAt, n.nextSlotSeq) {
-				}
-			}
-			n.slotPending = false
-			n.sim.AdvanceTo(n.nextSlotAt)
-			n.startSlot(n.nextSlotAt)
-			continue
-		}
-		// No slot is scheduled: the ring is silent awaiting a recovery
-		// timeout (master loss, failed hand-over). Step heap events one at a
-		// time — the recovery handler re-arms the engine mid-step.
-		if !n.sim.StepUpTo(until) {
-			n.sim.AdvanceTo(until)
+// runPoints executes the ring's engine points in order while they precede
+// limit, first draining the heap events ordered before each. With stepOne
+// set it returns after a single heap event instead, so runEngines can look
+// for a silent ring that event re-armed.
+func (n *Network) runPoints(limit *enginePoint, stepOne bool) {
+	for n.cur < len(n.pts) {
+		pt := n.pts[n.cur]
+		if !pt.before(limit) {
 			return
+		}
+		if n.sim.PeekBefore(pt.when, pt.seq) {
+			// A heap event interleaves before this point.
+			if stepOne {
+				n.sim.StepBefore(pt.when, pt.when, pt.seq)
+				return
+			}
+			for n.sim.StepBefore(pt.when, pt.when, pt.seq) {
+			}
+		}
+		n.cur++
+		n.sim.AdvanceTo(pt.when)
+		switch pt.op {
+		case opSample:
+			n.sample(int(pt.idx), pt.when)
+		case opArbitrate:
+			n.arbitrate(pt.when)
+		case opEndSlot:
+			n.endSlot(pt.when)
+		default:
+			n.startSlot(pt.when)
 		}
 	}
 }
@@ -902,47 +903,26 @@ func (n *Network) startSlot(now timing.Time) {
 
 	// Collection phase: the control packet leaves the master and passes
 	// every node; node (master+i) appends its request after i per-node
-	// delays and the propagation over the i links between them. Inline mode
-	// records the same schedule as engine points under reserved sequence
-	// numbers — in the exact order the Posts below consume theirs — and Run
-	// executes them without touching the heap.
-	if n.inline {
-		nodes := n.r.Nodes()
-		pts := n.inlinePts[:0]
-		for i := 1; i <= nodes; i++ {
-			idx := n.master + i
-			if idx >= nodes {
-				idx -= nodes
-			}
-			at := now + n.tt.CollectOff(n.master, i)
-			pts = append(pts, enginePoint{when: at, seq: n.sim.ReserveSeq(), op: opSample, idx: int32(idx)})
+	// delays and the propagation over the i links between them. The master
+	// holds the completed packet after Equation 2's minimum collection time
+	// and arbitrates; the slot ends one payload time after it started. The
+	// points come out (time, seq)-ordered: sample times grow with the hop
+	// count, the arbitration shares the last sample's time under a later
+	// seq, and Params.Validate keeps the slot end no earlier.
+	nodes := n.r.Nodes()
+	pts := n.pts[:0]
+	for i := 1; i <= nodes; i++ {
+		idx := n.master + i
+		if idx >= nodes {
+			idx -= nodes
 		}
-		pts = append(pts, enginePoint{when: now + n.tt.MinSlot, seq: n.sim.ReserveSeq(), op: opArbitrate})
-		pts = append(pts, enginePoint{when: now + n.tt.SlotTime, seq: n.sim.ReserveSeq(), op: opEndSlot})
-		// The schedule above is already (when, seq)-ordered for every
-		// physically sensible Params (sample times grow with the hop count,
-		// arbitration shares the last sample's time with a later seq); the
-		// insertion sort is a cheap O(n) pass then, and keeps the inline
-		// execution faithful to the heap order for exotic timing models.
-		for i := 1; i < len(pts); i++ {
-			for j := i; j > 0 && (pts[j].when < pts[j-1].when ||
-				(pts[j].when == pts[j-1].when && pts[j].seq < pts[j-1].seq)); j-- {
-				pts[j], pts[j-1] = pts[j-1], pts[j]
-			}
-		}
-		n.inlinePts = pts
-		n.inlineNext = 0
-		return
+		at := now + n.tt.CollectOff(n.master, i)
+		pts = append(pts, enginePoint{when: at, seq: n.sim.ReserveSeq(), op: opSample, idx: int32(idx)})
 	}
-	for i := 1; i <= n.r.Nodes(); i++ {
-		idx := (n.master + i) % n.r.Nodes()
-		n.sim.Post(now+n.tt.CollectOff(n.master, i), n.sampleFns[idx])
-	}
-	// The master holds the completed packet after Equation 2's minimum
-	// collection time and arbitrates.
-	n.sim.Post(now+n.tt.MinSlot, n.arbitrateFn)
-	// The slot ends one payload time after it started.
-	n.sim.Post(now+n.tt.SlotTime, n.endSlotFn)
+	pts = append(pts, enginePoint{when: now + n.tt.MinSlot, seq: n.sim.ReserveSeq(), op: opArbitrate})
+	pts = append(pts, enginePoint{when: now + n.tt.SlotTime, seq: n.sim.ReserveSeq(), op: opEndSlot})
+	n.pts = pts
+	n.cur = 0
 }
 
 // transmit delivers (or loses) one granted fragment.

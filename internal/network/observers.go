@@ -1,6 +1,8 @@
 package network
 
 import (
+	"math"
+
 	"ccredf/internal/core"
 	"ccredf/internal/fault"
 	"ccredf/internal/obs"
@@ -218,6 +220,13 @@ func (d *dataChecker) OnEvent(e *obs.Event) {
 		return
 	}
 	m, g := e.Msg, e.Grant
+	if uint64(m.Slots) > math.MaxUint16 || uint64(m.Sent-1) > math.MaxUint16 || uint64(m.ID) > math.MaxUint32 {
+		// The header would wrap Total, Fragment or MsgID — and wrap them
+		// identically on both sides of the round trip below, which would
+		// then pass. A value that does not fit its field is the error.
+		d.errs.Inc()
+		return
+	}
 	headerBytes := (wire.DataPacketBits(d.nodes, 0) + 7) / 8
 	payloadLen := d.payloadBytes - headerBytes
 	if payloadLen < 1 {

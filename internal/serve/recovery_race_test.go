@@ -34,7 +34,7 @@ func TestReownedJobCannotDoubleRun(t *testing.T) {
 	// check at the end of every interleaving.
 	ref := New(Options{Workers: 1})
 	refJob := submitRaw(t, ref, scen)
-	<-refJob.Done()
+	awaitClosed(t, refJob.Done(), "reference job")
 	want, ok := refJob.Result()
 	if !ok {
 		t.Fatalf("reference job ended %s: %s", refJob.State(), refJob.Err())
@@ -45,17 +45,21 @@ func TestReownedJobCannotDoubleRun(t *testing.T) {
 		srv := New(Options{Workers: 1, IDPrefix: "deadbeef-"})
 
 		// Instrument before anything is submitted: count engine entries per
-		// job ID, and hold the filler job so the single worker stays busy
-		// while the steal/reclaim/complete race plays out on the queue.
+		// job ID, and hold the first job to enter the engine — on a fresh
+		// one-worker server that is the filler — so the single worker stays
+		// busy while the steal/reclaim/complete race plays out on the queue.
+		// Gating by arrival rather than by ID leaves no window in which the
+		// worker could start the filler before the hook knows its ID.
 		gate := make(chan struct{})
 		fillerRunning := make(chan struct{})
 		var runs sync.Map // job ID → *int32 engine-run count
-		var fillerID atomic.Value
-		fillerID.Store("")
+		var gateFirst sync.Once
 		srv.runHook = func(j *Job) {
 			c, _ := runs.LoadOrStore(j.ID(), new(int32))
 			atomic.AddInt32(c.(*int32), 1)
-			if j.ID() == fillerID.Load().(string) {
+			first := false
+			gateFirst.Do(func() { first = true })
+			if first {
 				close(fillerRunning)
 				<-gate
 			}
@@ -63,8 +67,7 @@ func TestReownedJobCannotDoubleRun(t *testing.T) {
 
 		// The gate in the hook, not the horizon, is what holds the worker.
 		filler := submitRaw(t, srv, testScenario(uint64(1000+it), 2000))
-		fillerID.Store(filler.ID())
-		<-fillerRunning
+		awaitClosed(t, fillerRunning, "filler job to enter the engine")
 
 		// Replay: re-own a pending job from "the journal" under its original
 		// (prefixed) ID, exactly as recoverFromJournal would.
@@ -133,11 +136,22 @@ func TestReownedJobCannotDoubleRun(t *testing.T) {
 			t.Fatalf("iteration %d: thief completion was accepted AND the job ran locally — double run", it)
 		}
 
-		<-filler.Done()
+		awaitClosed(t, filler.Done(), "filler job")
 		srv.Close()
 	}
 
 	ref.Close()
+}
+
+// awaitClosed waits for ch to close, failing the test instead of hanging
+// when a lost race means it never will.
+func awaitClosed(t *testing.T, ch <-chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-ch:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("timed out waiting for %s", what)
+	}
 }
 
 // submitRaw parses and submits a raw scenario body in-process.
