@@ -14,6 +14,7 @@ SWEEP=${2:-./ccr-sweep}
 BENCH=${3:-./ccr-bench}
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
+. "$(dirname "$0")/csv.sh"
 
 # E23 is the reference experiment: zero hard misses and zero hard evictions
 # across tens of thousands of churn arrivals, reproducible bit-for-bit.
@@ -67,8 +68,8 @@ RC=0
 "$SWEEP" -protocols ccr-edf -nodes 16 -loads 0.2 -slots 10000 \
   -churn "$CHURN" -csv "$TMP/sweep.csv" >/dev/null
 head -1 "$TMP/sweep.csv" | grep -q 'admitted_hard,admitted_firm,admitted_be,evicted_hard,evicted_firm,evicted_be,missed_hard,missed_firm,missed_be'
-awk -F, 'NR==2 {
-  if ($15+0 <= 0 || $18 != 0 || $19+$20 <= 0 || $21 != 0 || $28 != "") exit 1
-}' "$TMP/sweep.csv"
+csv_row_ok "$TMP/sweep.csv" 'col("admitted_hard")+0 > 0 && col("evicted_hard") == "0" &&
+  col("evicted_firm")+col("evicted_be") > 0 && col("missed_hard") == "0" &&
+  col("error") == ""'
 
 echo "churn-smoke: ok"

@@ -12,6 +12,7 @@ SIM=${1:-./ccr-sim}
 SWEEP=${2:-./ccr-sweep}
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
+. "$(dirname "$0")/csv.sh"
 
 SPEC='coll=0.01,dist=0.01,ho=0.005,crash=3@200+300,crash=5@1000+100,seed=9'
 
@@ -57,7 +58,9 @@ RC=0
 "$SWEEP" -protocols ccr-edf -nodes 8 -loads 0.4 -slots 3000 \
   -faults 'coll=0.02,crash=2@100+200,seed=5' -csv "$TMP/sweep.csv" >/dev/null
 head -1 "$TMP/sweep.csv" | grep -q 'faults_injected,faults_recovered,ring_util,cross_miss_ratio'
-awk -F, 'NR==2 { if ($11+0 <= 0 || $11 != $12 || $13 == "" || $15 != "") exit 1 }' "$TMP/sweep.csv"
+csv_row_ok "$TMP/sweep.csv" 'col("faults_injected")+0 > 0 &&
+  col("faults_injected") == col("faults_recovered") &&
+  col("ring_util") != "" && col("error") == ""'
 
 # Bridge crash on a multi-ring topology: crashing a bridge endpoint
 # partitions the chain, so in-flight relays expire at the dead bridge; after

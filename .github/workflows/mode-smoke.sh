@@ -15,6 +15,7 @@ SWEEP=${2:-./ccr-sweep}
 BENCH=${3:-./ccr-bench}
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
+. "$(dirname "$0")/csv.sh"
 
 # E24 is the reference experiment: a full Normal→Degraded→Critical→Normal
 # hysteresis cycle over a bridged mesh with staggered crashes, zero hard
@@ -72,12 +73,11 @@ RC=0
 [ "$RC" -eq 2 ] || { echo "mode-smoke: malformed spec exited $RC, want 2" >&2; exit 1; }
 
 # A small -mode sweep must run clean and populate the mode columns:
-# mode_transitions ($24) present and non-negative, no point errors ($28).
+# mode_transitions present and non-negative, no point errors.
 "$SWEEP" -protocols ccr-edf -nodes 16 -loads 0.6 -slots 10000 \
   -churn "$CHURN" -mode "$MODE" -csv "$TMP/sweep.csv" >/dev/null
 head -1 "$TMP/sweep.csv" | grep -q 'mode_transitions,mode_shed_be,bridge_dropped,bridge_overflowed'
-awk -F, 'NR==2 {
-  if ($24 == "" || $24+0 < 0 || $28 != "") exit 1
-}' "$TMP/sweep.csv"
+csv_row_ok "$TMP/sweep.csv" 'col("mode_transitions") != "" && col("mode_transitions")+0 >= 0 &&
+  col("error") == ""'
 
 echo "mode-smoke: ok"

@@ -22,6 +22,7 @@ import (
 	"ccredf"
 	"ccredf/internal/analysis"
 	"ccredf/internal/serve"
+	"ccredf/internal/sweep"
 	"ccredf/scenario"
 )
 
@@ -54,36 +55,14 @@ func main() {
 	jsonOut = flag.Bool("json", false, "print a machine-readable JSON snapshot instead of text")
 	flag.Parse()
 
-	var faultPlan *ccredf.FaultPlan
-	if *faults != "" {
-		plan, err := ccredf.ParseFaultSpec(*faults)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ccr-sim:", err)
-			os.Exit(2)
-		}
-		faultPlan = &plan
-	}
-	var churnSpec *ccredf.ChurnSpec
-	if *churn != "" {
-		spec, err := ccredf.ParseChurnSpec(*churn)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ccr-sim:", err)
-			os.Exit(2)
-		}
-		churnSpec = &spec
-	}
-	var modeSpec *ccredf.ModeSpec
-	if *modeArg != "" {
-		spec, err := ccredf.ParseModeSpec(*modeArg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ccr-sim:", err)
-			os.Exit(2)
-		}
-		modeSpec = &spec
+	knobs, err := sweep.Knobs{Faults: *faults, Churn: *churn, Mode: *modeArg}.Parse()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ccr-sim:", err)
+		os.Exit(2)
 	}
 
 	if *config != "" {
-		runConfig(*config, *nodeLat, faultPlan, churnSpec, modeSpec)
+		runConfig(*config, *nodeLat, knobs)
 		return
 	}
 
@@ -93,8 +72,8 @@ func main() {
 	cfg.LossProb = *loss
 	cfg.Reliable = *reliable
 	cfg.Seed = *seed
-	cfg.Faults = faultPlan
-	cfg.Mode = modeSpec
+	cfg.Faults = knobs.Faults
+	cfg.Mode = knobs.Mode
 	switch *protocol {
 	case "ccr-edf":
 		cfg.Protocol = ccredf.CCREDF
@@ -161,8 +140,8 @@ func main() {
 	}
 
 	// Connection churn: live mixed-criticality arrivals and departures.
-	if churnSpec != nil {
-		sp := *churnSpec
+	if knobs.Churn != nil {
+		sp := *knobs.Churn
 		if sp.Seed == 0 {
 			sp.Seed = *seed + 300
 		}
@@ -209,7 +188,7 @@ func printProbe(probe *ccredf.LatencyProbe) {
 // runConfig executes a declarative JSON scenario. A -faults spec overrides
 // the scenario's own faults stanza, a -churn spec its churn stanza, and a
 // -mode spec its mode stanza.
-func runConfig(path string, nodeLat bool, faultPlan *ccredf.FaultPlan, churnSpec *ccredf.ChurnSpec, modeSpec *ccredf.ModeSpec) {
+func runConfig(path string, nodeLat bool, knobs sweep.Specs) {
 	f, err := os.Open(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ccr-sim:", err)
@@ -221,15 +200,15 @@ func runConfig(path string, nodeLat bool, faultPlan *ccredf.FaultPlan, churnSpec
 		fmt.Fprintln(os.Stderr, "ccr-sim:", err)
 		os.Exit(1)
 	}
-	if faultPlan != nil || churnSpec != nil || modeSpec != nil {
-		if faultPlan != nil {
-			s.Faults = faultPlan
+	if knobs != (sweep.Specs{}) {
+		if knobs.Faults != nil {
+			s.Faults = knobs.Faults
 		}
-		if churnSpec != nil {
-			s.Churn = churnSpec
+		if knobs.Churn != nil {
+			s.Churn = knobs.Churn
 		}
-		if modeSpec != nil {
-			s.Mode = modeSpec
+		if knobs.Mode != nil {
+			s.Mode = knobs.Mode
 		}
 		if err := s.Validate(); err != nil {
 			fmt.Fprintln(os.Stderr, "ccr-sim:", err)

@@ -28,7 +28,6 @@ import (
 	"strings"
 	"time"
 
-	"ccredf"
 	"ccredf/internal/serve"
 	"ccredf/internal/serve/client"
 	"ccredf/internal/sweep"
@@ -104,23 +103,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *faults != "" {
-		if _, err := ccredf.ParseFaultSpec(*faults); err != nil {
-			fmt.Fprintln(os.Stderr, "ccr-sweep: -faults:", err)
-			os.Exit(2)
-		}
-	}
-	if *churnFlag != "" {
-		if _, err := ccredf.ParseChurnSpec(*churnFlag); err != nil {
-			fmt.Fprintln(os.Stderr, "ccr-sweep: -churn:", err)
-			os.Exit(2)
-		}
-	}
-	if *modeFlag != "" {
-		if _, err := ccredf.ParseModeSpec(*modeFlag); err != nil {
-			fmt.Fprintln(os.Stderr, "ccr-sweep: -mode:", err)
-			os.Exit(2)
-		}
+	knobs := sweep.Knobs{Faults: *faults, Churn: *churnFlag, Mode: *modeFlag}
+	if _, err := knobs.Parse(); err != nil {
+		fmt.Fprintln(os.Stderr, "ccr-sweep:", err)
+		os.Exit(2)
 	}
 
 	var outcomes []sweep.Outcome
@@ -139,24 +125,15 @@ func main() {
 			Mode:         *modeFlag,
 		}
 		var err error
-		outcomes, err = runRemote(*remote, spec, *remoteWait, *faults, *churnFlag, *modeFlag)
+		outcomes, err = runRemote(*remote, spec, *remoteWait, knobs)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ccr-sweep: remote:", err)
 			os.Exit(1)
 		}
 	} else {
-		grid := sweep.Grid(strings.Split(*protocols, ","), ns, us, strings.Split(*localities, ","), ss)
-		if *faults != "" {
-			grid = sweep.WithFaults(grid, *faults)
-		}
+		grid := sweep.WithKnobs(sweep.Grid(strings.Split(*protocols, ","), ns, us, strings.Split(*localities, ","), ss), knobs)
 		if *rings > 1 {
 			grid = sweep.WithRings(grid, *rings)
-		}
-		if *churnFlag != "" {
-			grid = sweep.WithChurn(grid, *churnFlag)
-		}
-		if *modeFlag != "" {
-			grid = sweep.WithMode(grid, *modeFlag)
 		}
 		fmt.Printf("sweeping %d points on %d workers (%d slots each)…\n", len(grid), *workers, *slots)
 		if *batch > 1 {
@@ -198,7 +175,7 @@ func main() {
 // runRemote submits the sweep spec to a ccr-served daemon and converts the
 // wire outcomes back into sweep.Outcome, so the table/CSV output below is
 // identical whether the grid ran locally or remotely.
-func runRemote(base string, spec *serve.SweepSpec, timeout time.Duration, faultSpec, churnSpec, modeSpec string) ([]sweep.Outcome, error) {
+func runRemote(base string, spec *serve.SweepSpec, timeout time.Duration, knobs sweep.Knobs) ([]sweep.Outcome, error) {
 	endpoints := strings.Split(base, ",")
 	c := client.NewMulti(endpoints, client.Options{})
 	ctx := context.Background()
@@ -223,7 +200,7 @@ func runRemote(base string, spec *serve.SweepSpec, timeout time.Duration, faultS
 
 	out := make([]sweep.Outcome, 0, len(res.Points))
 	for _, p := range res.Points {
-		out = append(out, p.Outcome(faultSpec, churnSpec, modeSpec))
+		out = append(out, p.Outcome(knobs))
 	}
 	return out, nil
 }

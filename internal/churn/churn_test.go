@@ -16,6 +16,7 @@ func TestSpecRoundTrip(t *testing.T) {
 		"rate=50000,hold=2000",
 		"rate=50000,hold=2000,hard=0.3,firm=0.3,fbud=0.4,bbud=0.2,pmin=60,pmax=300,smax=3,seed=7",
 		"rate=1e5,hold=500,seed=1",
+		"rate=1e9,hold=1e9",
 		"",
 	}
 	for _, in := range specs {
@@ -48,6 +49,16 @@ func TestSpecValidation(t *testing.T) {
 		{"rate=1000,hold=100,bogus=1", "unknown key"},
 		{"rate=notanumber,hold=100", "rate"},
 		{"justtext", "key=value"},
+		// Non-finite or unrepresentable rates: NaN and oversized holds once
+		// scheduled departures in the past, rates above 1e9/s never let the
+		// clock advance.
+		{"rate=50000,hold=nan", "hold: NaN is not finite"},
+		{"rate=50000,hold=inf", "hold: +Inf is not finite"},
+		{"rate=50000,hold=1e300", "mean_hold_us 1e+300 above 1e+09"},
+		{"rate=1e12,hold=2000", "rate_per_sec 1e+12 above 1e+09"},
+		{"rate=inf,hold=2000", "rate: +Inf is not finite"},
+		{"rate=1000,hold=100,hard=nan", "hard: NaN is not finite"},
+		{"rate=1000,hold=100,fbud=nan", "fbud: NaN is not finite"},
 	}
 	for _, c := range bad {
 		if _, err := ParseSpec(c.spec); err == nil {

@@ -182,6 +182,9 @@ func TestParseSpecErrors(t *testing.T) {
 		"crash=3@10+0",
 		"crash=3@10+-5",
 		"seed=-1",
+		"coll=nan",
+		"dist=inf",
+		"ho=-inf",
 	} {
 		if _, err := ParseSpec(spec); err == nil {
 			t.Errorf("spec %q: expected error", spec)

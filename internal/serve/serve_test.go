@@ -502,6 +502,8 @@ func TestSubmitValidation(t *testing.T) {
 			http.StatusBadRequest, "protocols[0]"},
 		{"sweep unknown field", "/v1/sweeps", `{"horizon_slots": 100, "frobs": 2}`, http.StatusBadRequest, "frobs"},
 		{"sweep missing horizon", "/v1/sweeps", `{"nodes": [4]}`, http.StatusBadRequest, "horizon_slots"},
+		{"sweep churn rate unrepresentable", "/v1/sweeps", `{"horizon_slots": 100, "churn": "rate=1e12,hold=2000"}`,
+			http.StatusBadRequest, "churn: churn: rate_per_sec"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -18,7 +18,7 @@ import (
 func TestSweepCSVRoundTrip(t *testing.T) {
 	pts := sweep.Grid([]string{"ccr-edf"}, []int{8}, []float64{0.4}, []string{"uniform"}, []uint64{1, 2})
 	pts = append(pts, sweep.WithRings(pts[:1], 3)...)
-	pts = append(pts, sweep.WithChurn(pts[:1], "rate=100000,hold=1000")...)
+	pts = append(pts, sweep.WithKnobs(pts[:1], sweep.Knobs{Churn: "rate=100000,hold=1000"})...)
 	local, err := sweep.RunCtx(context.Background(), pts, 2, 500)
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +39,7 @@ func TestSweepCSVRoundTrip(t *testing.T) {
 	}
 	remote := make([]sweep.Outcome, len(decoded))
 	for i, w := range decoded {
-		remote[i] = w.Outcome("", "", "")
+		remote[i] = w.Outcome(sweep.Knobs{})
 	}
 
 	var localCSV, remoteCSV bytes.Buffer
@@ -81,7 +81,7 @@ func TestSweepSpecChurnValidation(t *testing.T) {
 	}
 	sp.normalise()
 	for _, pt := range sp.Grid() {
-		if pt.ChurnSpec != "rate=50000,hold=2000" {
+		if pt.Churn != "rate=50000,hold=2000" {
 			t.Fatalf("grid point %v lost the churn spec", pt)
 		}
 	}
@@ -103,7 +103,7 @@ func TestSweepSpecModeValidation(t *testing.T) {
 	}
 	sp.normalise()
 	for _, pt := range sp.Grid() {
-		if pt.ModeSpec != "window=128,dmiss=0.05,bcap=32" {
+		if pt.Mode != "window=128,dmiss=0.05,bcap=32" {
 			t.Fatalf("grid point %v lost the mode spec", pt)
 		}
 	}

@@ -3,12 +3,8 @@ package sweep
 import (
 	"context"
 
-	"ccredf/internal/fault"
 	"ccredf/internal/network"
-	"ccredf/internal/rng"
 	"ccredf/internal/runner"
-	"ccredf/internal/timing"
-	"ccredf/internal/traffic"
 )
 
 // DefaultBatch is the replica count a batched sweep group targets. Eight is
@@ -23,8 +19,8 @@ const DefaultBatch = 8
 // grid order, into chunks of at most maxBatch, each of which one
 // network.Batch can run as fused replicas. Bridged multi-ring points
 // (Rings > 1) run through network.NewMulti rather than the batched engine,
-// and churn points (ChurnSpec != "") and operating-mode points
-// (ModeSpec != "") drive live admission through the sequential engine, so
+// and churn points (Churn != "") and operating-mode points
+// (Mode != "") drive live admission through the sequential engine, so
 // all three always form singleton groups. Group order is
 // deterministic: shapes in order of first appearance, chunks in grid order
 // within a shape.
@@ -46,7 +42,7 @@ func Batches(points []Point, maxBatch int) [][]int {
 	byShape := make(map[shape][]int)
 	var order []shape
 	for i, pt := range points {
-		k := shape{pt.Protocol, pt.Nodes, pt.Rings, pt.ChurnSpec != "", pt.ModeSpec != ""}
+		k := shape{pt.Protocol, pt.Nodes, pt.Rings, pt.Churn != "", pt.Mode != ""}
 		if k.rings < 1 {
 			k.rings = 1
 		}
@@ -75,7 +71,7 @@ func Batches(points []Point, maxBatch int) [][]int {
 // single batched engine, polling ctx between chunks like runPoint. The
 // outcomes are index-aligned with idxs.
 //
-// Any error during setup — protocol construction, fault-spec parsing, batch
+// Any error during setup — knob parsing, protocol construction, batch
 // assembly, forced admission — drops the whole group back to the sequential
 // runPoint path, which reproduces the exact per-point outcome (including
 // which point carries the error). Batching is a throughput optimisation and
@@ -95,19 +91,11 @@ func runBatch(ctx context.Context, points []Point, idxs []int, horizonSlots int6
 		return fallback()
 	}
 	cfgs := make([]network.Config, len(idxs))
+	specs := make([]Specs, len(idxs))
 	for j, i := range idxs {
-		pt := points[i]
-		proto, err := protocol(pt.Protocol, pt.Nodes)
-		if err != nil {
+		var err error
+		if cfgs[j], specs[j], err = pointConfig(points[i]); err != nil {
 			return fallback()
-		}
-		cfgs[j] = network.Config{Params: timing.DefaultParams(pt.Nodes), Protocol: proto, Seed: pt.Seed}
-		if pt.FaultSpec != "" {
-			plan, err := fault.ParseSpec(pt.FaultSpec)
-			if err != nil {
-				return fallback()
-			}
-			cfgs[j].Faults = &plan
 		}
 	}
 	b, err := network.NewBatch(cfgs)
@@ -115,28 +103,15 @@ func runBatch(ctx context.Context, points []Point, idxs []int, horizonSlots int6
 		return fallback()
 	}
 	for j, i := range idxs {
-		pt := points[i]
-		net := b.Net(j)
-		src := rng.New(pt.Seed)
-		for _, c := range traffic.UniformRTSet(pt.Nodes, pt.Nodes, pt.Load, cfgs[j].Params, picker(pt.Locality), src) {
-			if _, err := net.ForceConnection(c); err != nil {
-				return fallback()
-			}
+		if err := loadPoint(b.Net(j), points[i], specs[j]); err != nil {
+			return fallback()
 		}
 	}
-	for done := int64(0); done < horizonSlots; {
-		if err := ctx.Err(); err != nil {
-			for j := range outs {
-				outs[j].Err = err
-			}
-			return outs
+	if err := runChunks(ctx, horizonSlots, b.RunSlots); err != nil {
+		for j := range outs {
+			outs[j].Err = err
 		}
-		step := int64(chunkSlots)
-		if remaining := horizonSlots - done; remaining < step {
-			step = remaining
-		}
-		b.RunSlots(step)
-		done += step
+		return outs
 	}
 	for j := range idxs {
 		collect(b.Net(j), &outs[j])

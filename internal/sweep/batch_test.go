@@ -65,7 +65,7 @@ func TestBatchedEqualsSequential(t *testing.T) {
 		[]string{"uniform"},
 		[]uint64{1, 2, 3},
 	)
-	faulted := WithFaults(Grid([]string{"ccr-edf"}, []int{8}, []float64{0.4}, []string{"uniform"}, []uint64{7, 8}), "coll=0.01")
+	faulted := WithKnobs(Grid([]string{"ccr-edf"}, []int{8}, []float64{0.4}, []string{"uniform"}, []uint64{7, 8}), Knobs{Faults: "coll=0.01"})
 	multi := WithRings(Grid([]string{"ccr-edf"}, []int{8}, []float64{0.3}, []string{"uniform"}, []uint64{9}), 2)
 	pts = append(pts, faulted...)
 	pts = append(pts, multi...)
@@ -98,7 +98,7 @@ func TestBatchedEqualsSequential(t *testing.T) {
 func TestBatchedFallbackOnBadPoint(t *testing.T) {
 	pts := []Point{
 		{Protocol: "ccr-edf", Nodes: 8, Load: 0.4, Locality: "uniform", Seed: 1},
-		{Protocol: "ccr-edf", Nodes: 8, Load: 0.4, Locality: "uniform", Seed: 2, FaultSpec: "bogus-spec"},
+		{Protocol: "ccr-edf", Nodes: 8, Load: 0.4, Locality: "uniform", Seed: 2, Knobs: Knobs{Faults: "bogus-spec"}},
 	}
 	outs := RunBatched(pts, 1, 4, 300)
 	if outs[0].Err != nil {

@@ -44,25 +44,64 @@ type Point struct {
 	Locality string
 	// Seed drives the point's randomness.
 	Seed uint64
-	// FaultSpec is an optional fault-injection spec (fault.ParseSpec
-	// syntax, e.g. "coll=0.01,crash=3@100+50"); empty disables injection.
-	// Kept as the compact string so Point stays comparable.
-	FaultSpec string
 	// Rings > 1 runs the point on a bridged chain of that many rings of
 	// Nodes each (cross-ring connections between neighbouring rings plus one
 	// spanning the chain); 0 or 1 is the classic single ring.
 	Rings int
-	// ChurnSpec is an optional connection-churn spec (churn.ParseSpec
-	// syntax, e.g. "rate=50000,hold=2000"); empty disables churn. Kept as
-	// the compact string so Point stays comparable. On a multi-ring point
-	// the churn runs on ring 0.
-	ChurnSpec string
-	// ModeSpec is an optional operating-mode spec (mode.ParseSpec syntax,
-	// e.g. "window=256,dmiss=0.05,bcap=64"); empty disables the protocol.
-	// Kept as the compact string so Point stays comparable. On a multi-ring
-	// point every ring runs its own controller and bcap bounds the bridge
-	// queues.
-	ModeSpec string
+	// Knobs are the point's optional fault, churn and operating-mode specs.
+	Knobs
+}
+
+// Knobs are the optional run-time knobs of a point, each a compact spec in
+// its package's syntax (DESIGN.md §17); "" leaves the knob off. They stay
+// strings so Point stays comparable.
+type Knobs struct {
+	// Faults is a fault.ParseSpec spec, e.g. "coll=0.01,crash=3@100+50". On
+	// a multi-ring point it applies to ring 0.
+	Faults string
+	// Churn is a churn.ParseSpec spec, e.g. "rate=50000,hold=2000". A
+	// seedless spec inherits the point seed. On a multi-ring point the
+	// churn runs on ring 0.
+	Churn string
+	// Mode is a mode.ParseSpec spec, e.g. "window=256,dmiss=0.05,bcap=64".
+	// On a multi-ring point every ring runs its own controller and bcap
+	// bounds the bridge queues.
+	Mode string
+}
+
+// Specs are the parsed Knobs; a nil field is a knob left off.
+type Specs struct {
+	Faults *fault.Plan
+	Churn  *churn.Spec
+	Mode   *mode.Spec
+}
+
+// Parse parses every knob that is set. Errors name the knob:
+// "faults: fault: coll: …".
+func (k Knobs) Parse() (Specs, error) {
+	var s Specs
+	for _, err := range []error{
+		parseKnob("faults", k.Faults, fault.ParseSpec, &s.Faults),
+		parseKnob("churn", k.Churn, churn.ParseSpec, &s.Churn),
+		parseKnob("mode", k.Mode, mode.ParseSpec, &s.Mode),
+	} {
+		if err != nil {
+			return Specs{}, err
+		}
+	}
+	return s, nil
+}
+
+func parseKnob[T any](name, spec string, parse func(string) (T, error), dst **T) error {
+	if spec == "" {
+		return nil
+	}
+	v, err := parse(spec)
+	if err != nil {
+		return fmt.Errorf("%s: %w", name, err)
+	}
+	*dst = &v
+	return nil
 }
 
 // String renders the coordinate compactly.
@@ -71,26 +110,16 @@ func (p Point) String() string {
 	if p.Rings > 1 {
 		s += fmt.Sprintf("/R%d", p.Rings)
 	}
-	if p.FaultSpec != "" {
-		s += "/f[" + p.FaultSpec + "]"
+	if p.Faults != "" {
+		s += "/f[" + p.Faults + "]"
 	}
-	if p.ChurnSpec != "" {
-		s += "/c[" + p.ChurnSpec + "]"
+	if p.Churn != "" {
+		s += "/c[" + p.Churn + "]"
 	}
-	if p.ModeSpec != "" {
-		s += "/m[" + p.ModeSpec + "]"
+	if p.Mode != "" {
+		s += "/m[" + p.Mode + "]"
 	}
 	return s
-}
-
-// WithFaults returns the points with the given fault spec stamped on every
-// coordinate ("" clears it).
-func WithFaults(points []Point, spec string) []Point {
-	out := append([]Point(nil), points...)
-	for i := range out {
-		out[i].FaultSpec = spec
-	}
-	return out
 }
 
 // WithRings returns the points with the given ring count stamped on every
@@ -103,22 +132,12 @@ func WithRings(points []Point, rings int) []Point {
 	return out
 }
 
-// WithChurn returns the points with the given churn spec stamped on every
-// coordinate ("" clears it).
-func WithChurn(points []Point, spec string) []Point {
+// WithKnobs returns the points with the given knobs stamped on every
+// coordinate (the zero Knobs clears them).
+func WithKnobs(points []Point, k Knobs) []Point {
 	out := append([]Point(nil), points...)
 	for i := range out {
-		out[i].ChurnSpec = spec
-	}
-	return out
-}
-
-// WithMode returns the points with the given operating-mode spec stamped on
-// every coordinate ("" clears it).
-func WithMode(points []Point, spec string) []Point {
-	out := append([]Point(nil), points...)
-	for i := range out {
-		out[i].ModeSpec = spec
+		out[i].Knobs = k
 	}
 	return out
 }
@@ -217,77 +236,104 @@ func runPoint(ctx context.Context, pt Point, horizonSlots int64) Outcome {
 		return runMultiPoint(ctx, pt, horizonSlots)
 	}
 	out := Outcome{Point: pt}
-	p := timing.DefaultParams(pt.Nodes)
-	proto, err := protocol(pt.Protocol, pt.Nodes)
+	net, err := newPoint(pt)
+	if err == nil {
+		err = runChunks(ctx, horizonSlots, net.RunSlots)
+	}
 	if err != nil {
 		out.Err = err
 		return out
-	}
-	cfg := network.Config{Params: p, Protocol: proto, Seed: pt.Seed}
-	if pt.FaultSpec != "" {
-		plan, err := fault.ParseSpec(pt.FaultSpec)
-		if err != nil {
-			out.Err = err
-			return out
-		}
-		cfg.Faults = &plan
-	}
-	if pt.ModeSpec != "" {
-		ms, err := mode.ParseSpec(pt.ModeSpec)
-		if err != nil {
-			out.Err = err
-			return out
-		}
-		cfg.Mode = &ms
-	}
-	net, err := network.New(cfg)
-	if err != nil {
-		out.Err = err
-		return out
-	}
-	src := rng.New(pt.Seed)
-	for _, c := range traffic.UniformRTSet(pt.Nodes, pt.Nodes, pt.Load, p, picker(pt.Locality), src) {
-		if _, err := net.ForceConnection(c); err != nil {
-			out.Err = err
-			return out
-		}
-	}
-	if err := attachChurn(net, pt); err != nil {
-		out.Err = err
-		return out
-	}
-	for done := int64(0); done < horizonSlots; {
-		if err := ctx.Err(); err != nil {
-			out.Err = err
-			return out
-		}
-		step := int64(chunkSlots)
-		if remaining := horizonSlots - done; remaining < step {
-			step = remaining
-		}
-		net.RunSlots(step)
-		done += step
 	}
 	collect(net, &out)
 	return out
 }
 
-// attachChurn parses the point's churn spec (if any) and starts the churn
-// workload on net. A seedless spec inherits the point seed so every point
-// stays deterministic.
-func attachChurn(net *network.Network, pt Point) error {
-	if pt.ChurnSpec == "" {
-		return nil
-	}
-	spec, err := churn.ParseSpec(pt.ChurnSpec)
+// newPoint builds a single-ring point's network, loaded and ready to run.
+func newPoint(pt Point) (*network.Network, error) {
+	cfg, k, err := pointConfig(pt)
 	if err != nil {
+		return nil, err
+	}
+	net, err := network.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return net, loadPoint(net, pt, k)
+}
+
+// pointConfig parses a single-ring point's knobs and returns its engine
+// configuration with them.
+func pointConfig(pt Point) (network.Config, Specs, error) {
+	k, err := pt.Knobs.Parse()
+	if err != nil {
+		return network.Config{}, Specs{}, err
+	}
+	cfg, err := ringConfig(pt, 0, k)
+	return cfg, k, err
+}
+
+// ringConfig is the engine configuration of ring ri of pt (0 on a single
+// ring): ring ri is seeded pt.Seed+ri, the fault plan applies to ring 0 and
+// the mode spec to every ring.
+func ringConfig(pt Point, ri int, k Specs) (network.Config, error) {
+	proto, err := protocol(pt.Protocol, pt.Nodes)
+	if err != nil {
+		return network.Config{}, err
+	}
+	cfg := network.Config{Params: timing.DefaultParams(pt.Nodes), Protocol: proto, Seed: pt.Seed + uint64(ri), Mode: k.Mode}
+	if ri == 0 {
+		cfg.Faults = k.Faults
+	}
+	return cfg, nil
+}
+
+// loadPoint puts a single-ring point's workload on net: the forced
+// real-time connection set, then churn if the point has any.
+func loadPoint(net *network.Network, pt Point, k Specs) error {
+	if err := forceLoad(net, pt, 0); err != nil {
 		return err
 	}
-	if spec.Seed == 0 {
-		spec.Seed = pt.Seed
+	return attachChurn(net, k.Churn, pt.Seed)
+}
+
+// forceLoad forces pt's offered real-time load onto ring ri, drawing the
+// connection set from seed pt.Seed+ri.
+func forceLoad(net *network.Network, pt Point, ri int) error {
+	src := rng.New(pt.Seed + uint64(ri))
+	for _, c := range traffic.UniformRTSet(pt.Nodes, pt.Nodes, pt.Load, net.Params(), picker(pt.Locality), src) {
+		if _, err := net.ForceConnection(c); err != nil {
+			return err
+		}
 	}
-	_, err = churn.Attach(net, spec)
+	return nil
+}
+
+// attachChurn starts the churn workload spec (nil: none) on net. A seedless
+// spec inherits seed so every point stays deterministic.
+func attachChurn(net *network.Network, spec *churn.Spec, seed uint64) error {
+	if spec == nil {
+		return nil
+	}
+	s := *spec
+	if s.Seed == 0 {
+		s.Seed = seed
+	}
+	_, err := churn.Attach(net, s)
 	return err
+}
+
+// runChunks advances a simulation horizonSlots slots through run, in
+// chunks of chunkSlots, and stops early with ctx's error once it is done.
+func runChunks(ctx context.Context, horizonSlots int64, run func(int64)) error {
+	for done := int64(0); done < horizonSlots; {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		step := min(int64(chunkSlots), horizonSlots-done)
+		run(step)
+		done += step
+	}
+	return nil
 }
 
 // collect reads one finished single-ring simulation's headline metrics into
@@ -331,100 +377,13 @@ func collectCrit(m *network.Metrics, out *Outcome) {
 // spanning the chain, and the point's forced intra-ring load on every ring.
 func runMultiPoint(ctx context.Context, pt Point, horizonSlots int64) Outcome {
 	out := Outcome{Point: pt}
-	spec := topology.Spec{}
-	for i := 0; i < pt.Rings; i++ {
-		spec.Rings = append(spec.Rings, pt.Nodes)
-		if i > 0 {
-			spec.Bridges = append(spec.Bridges, topology.Bridge{
-				RingA: i - 1, NodeA: pt.Nodes / 2, RingB: i, NodeB: 0,
-			})
-		}
+	m, cross, err := newMultiPoint(pt)
+	if err == nil {
+		err = runChunks(ctx, horizonSlots, m.RunSlots)
 	}
-	topo, err := topology.New(spec)
 	if err != nil {
 		out.Err = err
 		return out
-	}
-	cfgs := make([]network.Config, pt.Rings)
-	for i := range cfgs {
-		proto, err := protocol(pt.Protocol, pt.Nodes)
-		if err != nil {
-			out.Err = err
-			return out
-		}
-		cfgs[i] = network.Config{Params: timing.DefaultParams(pt.Nodes), Protocol: proto, Seed: pt.Seed + uint64(i)}
-		if pt.FaultSpec != "" && i == 0 {
-			plan, err := fault.ParseSpec(pt.FaultSpec)
-			if err != nil {
-				out.Err = err
-				return out
-			}
-			cfgs[i].Faults = &plan
-		}
-	}
-	bridgeCap := 0
-	if pt.ModeSpec != "" {
-		ms, err := mode.ParseSpec(pt.ModeSpec)
-		if err != nil {
-			out.Err = err
-			return out
-		}
-		bridgeCap = ms.BridgeCap
-		for i := range cfgs {
-			cfgs[i].Mode = &ms
-		}
-	}
-	m, err := network.NewMulti(network.MultiConfig{Topo: topo, RingConfigs: cfgs, BridgeCap: bridgeCap})
-	if err != nil {
-		out.Err = err
-		return out
-	}
-	// Cross connections first, through end-to-end admission, so they hold
-	// their reservations before the forced intra-ring load floods the rings.
-	p := m.Ring(0).Params()
-	var cross []*network.CrossConn
-	openCross := func(req network.CrossRequest) {
-		if cc, err := m.OpenCross(req); err == nil {
-			cross = append(cross, cc)
-		}
-	}
-	for ri := 0; ri+1 < pt.Rings; ri++ {
-		openCross(network.CrossRequest{
-			SrcRing: ri, Src: 1, DstRing: ri + 1, Dests: ring.Node(1),
-			Period: 64 * p.SlotTime(), Slots: 1, Deadline: 64 * p.SlotTime(),
-		})
-	}
-	if pt.Rings > 2 {
-		openCross(network.CrossRequest{
-			SrcRing: 0, Src: 2, DstRing: pt.Rings - 1, Dests: ring.Node(2),
-			Period: 128 * p.SlotTime(), Slots: 1, Deadline: 128 * p.SlotTime(),
-		})
-	}
-	for ri := 0; ri < pt.Rings; ri++ {
-		net := m.Ring(ri)
-		src := rng.New(pt.Seed + uint64(ri))
-		for _, c := range traffic.UniformRTSet(pt.Nodes, pt.Nodes, pt.Load, p, picker(pt.Locality), src) {
-			if _, err := net.ForceConnection(c); err != nil {
-				out.Err = err
-				return out
-			}
-		}
-	}
-	if err := attachChurn(m.Ring(0), pt); err != nil {
-		out.Err = err
-		return out
-	}
-	for done := int64(0); done < horizonSlots; {
-		if err := ctx.Err(); err != nil {
-			out.Err = err
-			return out
-		}
-		step := int64(chunkSlots)
-		if remaining := horizonSlots - done; remaining < step {
-			step = remaining
-		}
-		m.RunSlots(step)
-		done += step
 	}
 	var misses int64
 	for ri := 0; ri < pt.Rings; ri++ {
@@ -452,6 +411,69 @@ func runMultiPoint(ctx context.Context, pt Point, horizonSlots int64) Outcome {
 	}
 	out.CrossMissRatio = stats.Ratio(crossBad, crossTotal)
 	return out
+}
+
+// newMultiPoint builds a multi-ring point's fabric, loaded and ready to run,
+// with the cross connections it managed to open.
+func newMultiPoint(pt Point) (*network.MultiNet, []*network.CrossConn, error) {
+	k, err := pt.Knobs.Parse()
+	if err != nil {
+		return nil, nil, err
+	}
+	spec := topology.Spec{}
+	for i := 0; i < pt.Rings; i++ {
+		spec.Rings = append(spec.Rings, pt.Nodes)
+		if i > 0 {
+			spec.Bridges = append(spec.Bridges, topology.Bridge{
+				RingA: i - 1, NodeA: pt.Nodes / 2, RingB: i, NodeB: 0,
+			})
+		}
+	}
+	topo, err := topology.New(spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	cfgs := make([]network.Config, pt.Rings)
+	for i := range cfgs {
+		if cfgs[i], err = ringConfig(pt, i, k); err != nil {
+			return nil, nil, err
+		}
+	}
+	mc := network.MultiConfig{Topo: topo, RingConfigs: cfgs}
+	if k.Mode != nil {
+		mc.BridgeCap = k.Mode.BridgeCap
+	}
+	m, err := network.NewMulti(mc)
+	if err != nil {
+		return nil, nil, err
+	}
+	// Cross connections first, through end-to-end admission, so they hold
+	// their reservations before the forced intra-ring load floods the rings.
+	p := m.Ring(0).Params()
+	var cross []*network.CrossConn
+	openCross := func(req network.CrossRequest) {
+		if cc, err := m.OpenCross(req); err == nil {
+			cross = append(cross, cc)
+		}
+	}
+	for ri := 0; ri+1 < pt.Rings; ri++ {
+		openCross(network.CrossRequest{
+			SrcRing: ri, Src: 1, DstRing: ri + 1, Dests: ring.Node(1),
+			Period: 64 * p.SlotTime(), Slots: 1, Deadline: 64 * p.SlotTime(),
+		})
+	}
+	if pt.Rings > 2 {
+		openCross(network.CrossRequest{
+			SrcRing: 0, Src: 2, DstRing: pt.Rings - 1, Dests: ring.Node(2),
+			Period: 128 * p.SlotTime(), Slots: 1, Deadline: 128 * p.SlotTime(),
+		})
+	}
+	for ri := 0; ri < pt.Rings; ri++ {
+		if err := forceLoad(m.Ring(ri), pt, ri); err != nil {
+			return nil, nil, err
+		}
+	}
+	return m, cross, attachChurn(m.Ring(0), k.Churn, pt.Seed)
 }
 
 // Run executes every point on a pool of workers (≤ 0 means GOMAXPROCS) and

@@ -136,7 +136,7 @@ func TestMultiRingPoint(t *testing.T) {
 // connections never evicted or missing deadlines.
 func TestChurnPoint(t *testing.T) {
 	pt := Point{Protocol: "ccr-edf", Nodes: 16, Load: 0.2, Locality: "uniform", Seed: 7,
-		ChurnSpec: "rate=200000,hold=1500"}
+		Knobs: Knobs{Churn: "rate=200000,hold=1500"}}
 	out := runPoint(context.Background(), pt, 20000)
 	if out.Err != nil {
 		t.Fatal(out.Err)
@@ -171,7 +171,7 @@ func TestChurnPoint(t *testing.T) {
 func TestChurnPointBatchedMatches(t *testing.T) {
 	pts := smallGrid()[:2]
 	pts = append(pts, Point{Protocol: "ccr-edf", Nodes: 8, Load: 0.2, Locality: "uniform", Seed: 3,
-		ChurnSpec: "rate=100000,hold=1000"})
+		Knobs: Knobs{Churn: "rate=100000,hold=1000"}})
 	want := Run(pts, 1, 2000)
 	got := RunBatched(pts, 2, DefaultBatch, 2000)
 	for i := range want {
@@ -182,7 +182,7 @@ func TestChurnPointBatchedMatches(t *testing.T) {
 	groups := Batches(pts, DefaultBatch)
 	for _, g := range groups {
 		for _, i := range g {
-			if pts[i].ChurnSpec != "" && len(g) != 1 {
+			if pts[i].Churn != "" && len(g) != 1 {
 				t.Fatalf("churn point %d in group of %d", i, len(g))
 			}
 		}
@@ -194,7 +194,7 @@ func TestChurnPointBatchedMatches(t *testing.T) {
 // least one transition, deterministically.
 func TestModePoint(t *testing.T) {
 	pt := Point{Protocol: "ccr-edf", Nodes: 16, Load: 1.5, Locality: "uniform", Seed: 7,
-		ModeSpec: "window=64,dmiss=0.01,cmiss=0.05,cool=2"}
+		Knobs: Knobs{Mode: "window=64,dmiss=0.01,cmiss=0.05,cool=2"}}
 	out := runPoint(context.Background(), pt, 20000)
 	if out.Err != nil {
 		t.Fatal(out.Err)
@@ -215,7 +215,7 @@ func TestModePoint(t *testing.T) {
 func TestModePointBatchedMatches(t *testing.T) {
 	pts := smallGrid()[:2]
 	pts = append(pts, Point{Protocol: "ccr-edf", Nodes: 8, Load: 0.2, Locality: "uniform", Seed: 3,
-		ModeSpec: "window=64"})
+		Knobs: Knobs{Mode: "window=64"}})
 	want := Run(pts, 1, 2000)
 	got := RunBatched(pts, 2, DefaultBatch, 2000)
 	for i := range want {
@@ -225,7 +225,7 @@ func TestModePointBatchedMatches(t *testing.T) {
 	}
 	for _, g := range Batches(pts, DefaultBatch) {
 		for _, i := range g {
-			if pts[i].ModeSpec != "" && len(g) != 1 {
+			if pts[i].Mode != "" && len(g) != 1 {
 				t.Fatalf("mode point %d in group of %d", i, len(g))
 			}
 		}
@@ -234,7 +234,7 @@ func TestModePointBatchedMatches(t *testing.T) {
 
 func TestModeSpecInvalid(t *testing.T) {
 	pt := Point{Protocol: "ccr-edf", Nodes: 8, Load: 0.2, Locality: "uniform", Seed: 1,
-		ModeSpec: "dmiss=2"}
+		Knobs: Knobs{Mode: "dmiss=2"}}
 	out := runPoint(context.Background(), pt, 100)
 	if out.Err == nil {
 		t.Fatal("invalid mode spec should fail the point")
@@ -243,7 +243,7 @@ func TestModeSpecInvalid(t *testing.T) {
 
 func TestChurnSpecInvalid(t *testing.T) {
 	pt := Point{Protocol: "ccr-edf", Nodes: 8, Load: 0.2, Locality: "uniform", Seed: 1,
-		ChurnSpec: "rate=0"}
+		Knobs: Knobs{Churn: "rate=0"}}
 	out := runPoint(context.Background(), pt, 100)
 	if out.Err == nil {
 		t.Fatal("invalid churn spec should fail the point")

@@ -116,6 +116,10 @@ func TestValidateErrorsAreFieldQualified(t *testing.T) {
 			"poisson[0].node"},
 		{`{"nodes": 8, "horizon_slots": 10, "video": [{"node":0,"dest":1,"frame_interval_slots":10,"gop":[3,0]}]}`,
 			"video[0].gop[1]"},
+		{`{"nodes": 8, "horizon_slots": 10, "churn": {"rate_per_sec": 1e12, "mean_hold_us": 2000}}`,
+			"rate_per_sec"},
+		{`{"nodes": 8, "horizon_slots": 10, "churn": {"rate_per_sec": 50000, "mean_hold_us": 1e300}}`,
+			"mean_hold_us"},
 	}
 	for _, c := range cases {
 		_, err := Load(strings.NewReader(c.input))
