@@ -192,8 +192,11 @@ func New(cfg Config) (*Network, error) {
 		return nil, err
 	}
 	// Instrumentation rides on the protocol-event pipeline: the control
-	// codec verifier always (it is cheap and must stay silent), the rest as
-	// configured. Further observers attach through Attach.
+	// codec verifier always (it must stay silent), the rest as configured.
+	// The verifier is cheap because the codec packs whole fields per step:
+	// at N = 32 its round trips take about 2.2 µs of a 5.7 µs slot
+	// (perfbench sim-ring32 --trace 1, 2-vCPU Xeon, go1.24.0; one bit per
+	// call it was 16.5 of 24 µs). Further observers attach through Attach.
 	inner.AttachWireCheck()
 	if cfg.DataCheck {
 		inner.AttachDataCheck()

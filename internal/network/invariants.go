@@ -20,6 +20,9 @@ type invariantChecker struct {
 	m     *Metrics
 }
 
+// Kinds declares the one kind the checker reads (see wireChecker.Kinds).
+func (c *invariantChecker) Kinds() obs.KindSet { return obs.KindsOf(obs.KindArbitration) }
+
 func (c *invariantChecker) OnEvent(e *obs.Event) {
 	if e.Kind != obs.KindArbitration {
 		return

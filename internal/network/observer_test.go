@@ -112,3 +112,46 @@ func TestMetricsMatchWithAndWithoutExtraObservers(t *testing.T) {
 			instrumented.WireErrors.Value(), instrumented.Violations)
 	}
 }
+
+// TestCheckersDeclareInterests pins the verifiers' declared interests: with
+// the wire, data and invariant checkers attached the pipeline does not want
+// KindRequestSampled, so the engine never builds the N per-slot sampling
+// events. An observer without declared interests, attached after them,
+// widens the pipeline back to every kind and receives N sampled events per
+// slot.
+func TestCheckersDeclareInterests(t *testing.T) {
+	const nodes = 8
+	net := newEDF(t, nodes, sched.Map5Bit, true, nil)
+	net.AttachWireCheck()
+	net.AttachDataCheck()
+	net.AttachInvariantChecker()
+	if net.pipe.Wants(obs.KindRequestSampled) {
+		t.Fatal("checkers alone make the pipeline want KindRequestSampled")
+	}
+	var sampled, rounds int64
+	net.Attach(obs.Func(func(e *obs.Event) {
+		switch e.Kind {
+		case obs.KindRequestSampled:
+			sampled++
+		case obs.KindArbitration:
+			rounds++
+		}
+	}))
+	if !net.pipe.Wants(obs.KindRequestSampled) {
+		t.Fatal("an observer without declared interests does not widen the pipeline")
+	}
+	for i := 0; i < nodes; i++ {
+		if _, err := net.SubmitMessage(sched.ClassBestEffort, i, ring.Node((i+3)%nodes), 50, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	net.RunSlots(100)
+	slots := net.Metrics().Slots.Value()
+	if slots == 0 || rounds != slots || sampled != nodes*slots {
+		t.Fatalf("observer saw %d sampled events and %d arbitration rounds over %d slots, want %d and %d",
+			sampled, rounds, slots, nodes*slots, slots)
+	}
+	if v := net.Metrics().WireErrors.Value(); v != 0 {
+		t.Fatalf("%d wire errors", v)
+	}
+}

@@ -139,6 +139,11 @@ type wireChecker struct {
 	enc  wire.Writer
 }
 
+// Kinds declares the one kind the checker reads. Without it the pipeline
+// would assume every kind wanted and build N KindRequestSampled events per
+// slot for the checker to discard.
+func (w *wireChecker) Kinds() obs.KindSet { return obs.KindsOf(obs.KindArbitration) }
+
 func (w *wireChecker) OnEvent(e *obs.Event) {
 	if e.Kind != obs.KindArbitration {
 		return
@@ -214,6 +219,9 @@ type dataChecker struct {
 	enc          wire.Writer
 	got          wire.DataPacket
 }
+
+// Kinds declares the one kind the checker reads (see wireChecker.Kinds).
+func (d *dataChecker) Kinds() obs.KindSet { return obs.KindsOf(obs.KindFragmentSent) }
 
 func (d *dataChecker) OnEvent(e *obs.Event) {
 	if e.Kind != obs.KindFragmentSent {

@@ -53,23 +53,28 @@ func TestZeroAllocBatchTDMA(t *testing.T)            { testZeroAllocsBatch(t, "t
 // (wire.EncodeCollectionInto/DecodeCollectionInto, EncodeDataInto/
 // DecodeDataInto, the invariant checker's fixed per-node array), so turning
 // it on costs CPU but never garbage.
-func testZeroAllocsInstrumented(t *testing.T, name string) {
-	net, err := NewInstrumented(name)
+func testZeroAllocsInstrumented(t *testing.T, name string, nodes int) {
+	net, err := NewInstrumented(name, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(100, func() { net.RunSlots(1) })
 	if avg != 0 {
-		t.Errorf("instrumented %s slot engine allocates %v objects/slot-period, want 0", name, avg)
+		t.Errorf("instrumented %d-node %s slot engine allocates %v objects/slot-period, want 0", nodes, name, avg)
 	}
 }
 
-func TestZeroAllocInstrumentedCCREDF(t *testing.T) { testZeroAllocsInstrumented(t, "ccr-edf") }
+func TestZeroAllocInstrumentedCCREDF(t *testing.T) { testZeroAllocsInstrumented(t, "ccr-edf", Nodes) }
 func TestZeroAllocInstrumentedCCREDFSecondary(t *testing.T) {
-	testZeroAllocsInstrumented(t, "ccr-edf+secondary")
+	testZeroAllocsInstrumented(t, "ccr-edf+secondary", Nodes)
 }
-func TestZeroAllocInstrumentedCCFPR(t *testing.T) { testZeroAllocsInstrumented(t, "cc-fpr") }
-func TestZeroAllocInstrumentedTDMA(t *testing.T)  { testZeroAllocsInstrumented(t, "tdma") }
+func TestZeroAllocInstrumentedCCFPR(t *testing.T) { testZeroAllocsInstrumented(t, "cc-fpr", Nodes) }
+func TestZeroAllocInstrumentedTDMA(t *testing.T)  { testZeroAllocsInstrumented(t, "tdma", Nodes) }
+
+// At 64 nodes the reservation, destination and acknowledgement fields are
+// 64 bits wide, so the codec takes its multi-chunk paths (fields wider than
+// one 56-bit chunk) on every slot; those must stay allocation-free too.
+func TestZeroAllocInstrumentedCCREDF64(t *testing.T) { testZeroAllocsInstrumented(t, "ccr-edf", 64) }
 
 // A traced engine cannot be exactly zero-alloc — each retained record may
 // carry a novel detail string (fragment counters increment forever, so

@@ -49,27 +49,28 @@ const (
 // report order.
 var Protocols = []string{"ccr-edf", "ccr-edf+secondary", "cc-fpr", "tdma"}
 
-// config builds the protocol configuration for one replica. The seed feeds
-// both Config.Seed (per-replica rng stream) and the workload variant below.
-func config(name string, seed uint64) (network.Config, error) {
-	p := timing.DefaultParams(Nodes)
+// config builds the protocol configuration for one replica on a ring of
+// nodes. The seed feeds both Config.Seed (per-replica rng stream) and the
+// workload variant below.
+func config(name string, nodes int, seed uint64) (network.Config, error) {
+	p := timing.DefaultParams(nodes)
 	cfg := network.Config{Params: p, Seed: seed}
 	switch name {
 	case "ccr-edf", "ccr-edf+secondary":
-		arb, err := core.NewArbiter(Nodes, sched.Map5Bit, true)
+		arb, err := core.NewArbiter(nodes, sched.Map5Bit, true)
 		if err != nil {
 			return network.Config{}, err
 		}
 		cfg.Protocol = arb
 		cfg.SecondaryRequests = name == "ccr-edf+secondary"
 	case "cc-fpr":
-		arb, err := ccfpr.NewArbiter(Nodes, true)
+		arb, err := ccfpr.NewArbiter(nodes, true)
 		if err != nil {
 			return network.Config{}, err
 		}
 		cfg.Protocol = arb
 	case "tdma":
-		arb, err := tdma.NewArbiter(Nodes, true)
+		arb, err := tdma.NewArbiter(nodes, true)
 		if err != nil {
 			return network.Config{}, err
 		}
@@ -87,10 +88,10 @@ func config(name string, seed uint64) (network.Config, error) {
 // the extension) odd nodes advertise a shorter-segment secondary behind
 // their far-destination head. The variant rotates the far destination so
 // batch replicas offer different loads while staying fully contended.
-func backlog(net *network.Network, variant uint64, slots int) error {
+func backlog(net *network.Network, nodes int, variant uint64, slots int) error {
 	farOff := 2 + int(variant%5) // in [2, 6]: never the node itself or its near neighbour
-	for i := 0; i < Nodes; i++ {
-		near, far := (i+1)%Nodes, (i+farOff)%Nodes
+	for i := 0; i < nodes; i++ {
+		near, far := (i+1)%nodes, (i+farOff)%nodes
 		first, second := near, far
 		if i%2 == 1 {
 			first, second = far, near
@@ -108,7 +109,7 @@ func backlog(net *network.Network, variant uint64, slots int) error {
 // New builds a warmed-up network running the named protocol over the
 // permanent-backlog workload. Valid names are listed in Protocols.
 func New(name string) (*network.Network, error) {
-	cfg, err := config(name, 0)
+	cfg, err := config(name, Nodes, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -116,21 +117,21 @@ func New(name string) (*network.Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := backlog(net, 2, backlogSlots); err != nil { // variant 2 ⇒ the original far = i+4
+	if err := backlog(net, Nodes, 2, backlogSlots); err != nil { // variant 2 ⇒ the original far = i+4
 		return nil, err
 	}
 	net.RunSlots(WarmupSlots)
 	return net, nil
 }
 
-// NewInstrumented builds the same warmed-up network as New with the full
-// verification stack attached: control-channel codec round-tripping, data
-// packet serialisation with CRC verification, and the DESIGN.md §6 protocol
-// invariant checks, all running on every slot. The instrumented engine holds
-// the same zero-allocation gate as the bare one — verification reuses
-// persistent scratch instead of taxing the slot loop.
-func NewInstrumented(name string) (*network.Network, error) {
-	cfg, err := config(name, 0)
+// NewInstrumented builds the same warmed-up network as New, on a ring of
+// nodes, with the full verification stack attached: control-channel codec
+// round-tripping, data packet serialisation with CRC verification, and the
+// DESIGN.md §6 protocol invariant checks, all running on every slot. The
+// instrumented engine holds the same zero-allocation gate as the bare one —
+// verification reuses persistent scratch instead of taxing the slot loop.
+func NewInstrumented(name string, nodes int) (*network.Network, error) {
+	cfg, err := config(name, nodes, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +142,7 @@ func NewInstrumented(name string) (*network.Network, error) {
 	net.AttachWireCheck()
 	net.AttachDataCheck()
 	net.AttachInvariantChecker()
-	if err := backlog(net, 2, instrumentedBacklogSlots); err != nil {
+	if err := backlog(net, nodes, 2, instrumentedBacklogSlots); err != nil {
 		return nil, err
 	}
 	net.RunSlots(WarmupSlots)
@@ -164,7 +165,7 @@ func NewBatch(name string, k int) (*network.Batch, error) {
 	}
 	cfgs := make([]network.Config, k)
 	for j := 0; j < k; j++ {
-		cfg, err := config(name, uint64(j))
+		cfg, err := config(name, Nodes, uint64(j))
 		if err != nil {
 			return nil, err
 		}
@@ -175,7 +176,7 @@ func NewBatch(name string, k int) (*network.Batch, error) {
 		return nil, err
 	}
 	for j := 0; j < k; j++ {
-		if err := backlog(b.Net(j), uint64(j), backlogSlots); err != nil {
+		if err := backlog(b.Net(j), Nodes, uint64(j), backlogSlots); err != nil {
 			return nil, err
 		}
 	}

@@ -23,6 +23,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -106,11 +107,41 @@ func (w *Writer) WriteBit(b bool) {
 	w.nbit++
 }
 
+// chunkBits is the widest field WriteBits and ReadBits move in one step: a
+// chunk plus the up to 7 bits already in the current byte fit one 64-bit
+// word.
+const chunkBits = 56
+
 // WriteBits appends the width low-order bits of v, most significant first.
+// Widths above chunkBits are written as several chunks, the high one first.
 func (w *Writer) WriteBits(v uint64, width int) {
-	for i := width - 1; i >= 0; i-- {
-		w.WriteBit(v>>uint(i)&1 == 1)
+	for width > chunkBits {
+		width -= chunkBits
+		w.writeChunk(v>>uint(width), chunkBits)
 	}
+	w.writeChunk(v, width)
+}
+
+// writeChunk appends the width ≤ chunkBits low-order bits of v: it places
+// them in a word left-aligned after the partial byte's bits, ORs the word's
+// first byte into that partial byte and appends the bytes that remain.
+func (w *Writer) writeChunk(v uint64, width int) {
+	if width <= 0 {
+		return
+	}
+	off := w.nbit % 8
+	word := (v & (1<<uint(width) - 1)) << uint(64-off-width)
+	n := (off + width + 7) / 8
+	if off != 0 {
+		w.buf[len(w.buf)-1] |= byte(word >> 56)
+		word <<= 8
+		n--
+	}
+	// Appending the whole word and trimming it back measured faster than
+	// appending n bytes; the trimmed bytes lie past len and are never read.
+	end := len(w.buf) + n
+	w.buf = binary.BigEndian.AppendUint64(w.buf, word)[:end]
+	w.nbit += width
 }
 
 // Reset discards the written bits while keeping the grown buffer, so one
@@ -156,20 +187,39 @@ func (r *Reader) ReadBit() (bool, error) {
 }
 
 // ReadBits consumes width bits and returns them as the low-order bits of a
-// uint64, most significant first.
+// uint64, most significant first. When fewer than width bits remain it
+// consumes nothing and returns errTruncated.
 func (r *Reader) ReadBits(width int) (uint64, error) {
+	if width > r.Remaining() {
+		return 0, errTruncated
+	}
 	var v uint64
-	for i := 0; i < width; i++ {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		v <<= 1
-		if b {
-			v |= 1
-		}
+	for width > chunkBits {
+		width -= chunkBits
+		v = v<<chunkBits | r.readChunk(chunkBits)
+	}
+	if width > 0 {
+		v = v<<uint(width) | r.readChunk(width)
 	}
 	return v, nil
+}
+
+// readChunk consumes width ≤ chunkBits bits, which the caller has checked
+// are there. It extracts them from the big-endian 8-byte window starting at
+// the current byte; near the end of the buffer the window is assembled byte
+// by byte with zeros past the end.
+func (r *Reader) readChunk(width int) uint64 {
+	i, off := r.nbit/8, r.nbit%8
+	var word uint64
+	if i+8 <= len(r.buf) {
+		word = binary.BigEndian.Uint64(r.buf[i:])
+	} else {
+		for j, b := range r.buf[i:] {
+			word |= uint64(b) << uint(56-8*j)
+		}
+	}
+	r.nbit += width
+	return word << uint(off) >> uint(64-width)
 }
 
 // Remaining returns the number of unread bits.

@@ -2,6 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -65,6 +68,135 @@ func TestBitRoundtripProperty(t *testing.T) {
 	}
 }
 
+// refWriter and refReader are the bit-serial codec that Writer and Reader
+// replaced: one bit per step, each bit placed and extracted on its own. They
+// are the oracle the chunked codec is compared against.
+type refWriter struct {
+	buf  []byte
+	nbit int
+}
+
+func (w *refWriter) writeBit(b bool) {
+	if w.nbit%8 == 0 {
+		w.buf = append(w.buf, 0)
+	}
+	if b {
+		w.buf[w.nbit/8] |= 0x80 >> uint(w.nbit%8)
+	}
+	w.nbit++
+}
+
+func (w *refWriter) writeBits(v uint64, width int) {
+	for i := width - 1; i >= 0; i-- {
+		w.writeBit(v>>uint(i)&1 == 1)
+	}
+}
+
+func (w *refWriter) appendBytes(b []byte) {
+	w.buf = append(w.buf, b...)
+	w.nbit += 8 * len(b)
+}
+
+type refReader struct {
+	buf  []byte
+	nbit int
+}
+
+func (r *refReader) readBit() (bool, error) {
+	if r.nbit >= 8*len(r.buf) {
+		return false, errTruncated
+	}
+	b := r.buf[r.nbit/8]&(0x80>>uint(r.nbit%8)) != 0
+	r.nbit++
+	return b, nil
+}
+
+func (r *refReader) readBits(width int) (uint64, error) {
+	var v uint64
+	for i := 0; i < width; i++ {
+		b, err := r.readBit()
+		if err != nil {
+			return 0, err
+		}
+		v <<= 1
+		if b {
+			v |= 1
+		}
+	}
+	return v, nil
+}
+
+// TestCodecMatchesBitSerialReference drives the chunked Writer and the
+// bit-serial reference with the same random operation sequences — fields of
+// every width 0..64 with garbage above the width, single bits and
+// byte-aligned appends, at every bit offset — and requires identical bytes
+// and lengths after each step. It then reads the packet back through Reader
+// and the reference with random widths, running off the end, and requires
+// identical values and the first errTruncated at the same read.
+func TestCodecMatchesBitSerialReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for seq := 0; seq < 2000; seq++ {
+		var w Writer
+		var ref refWriter
+		for op, ops := 0, rng.Intn(40); op < ops; op++ {
+			switch k := rng.Intn(10); {
+			case k < 6:
+				v, width := rng.Uint64(), rng.Intn(65)
+				w.WriteBits(v, width)
+				ref.writeBits(v, width)
+			case k < 9:
+				b := rng.Intn(2) == 1
+				w.WriteBit(b)
+				ref.writeBit(b)
+			case w.Len()%8 == 0:
+				b := make([]byte, rng.Intn(12))
+				rng.Read(b)
+				w.AppendBytes(b)
+				ref.appendBytes(b)
+			}
+			if !bytes.Equal(w.Bytes(), ref.buf) || w.Len() != ref.nbit {
+				t.Fatalf("sequence %d op %d: writer has %d bits %x, reference %d bits %x",
+					seq, op, w.Len(), w.Bytes(), ref.nbit, ref.buf)
+			}
+		}
+		r, rr := NewReader(w.Bytes()), refReader{buf: ref.buf}
+		for read := 0; ; read++ {
+			var got, want uint64
+			var err, wantErr error
+			before := r.Remaining()
+			if rng.Intn(8) == 0 {
+				var gotBit, wantBit bool
+				gotBit, err = r.ReadBit()
+				wantBit, wantErr = rr.readBit()
+				got, want = boolBit(gotBit), boolBit(wantBit)
+			} else {
+				width := rng.Intn(65)
+				if rng.Intn(8) == 0 {
+					width = before + 1 + rng.Intn(8) // over-long
+				}
+				got, err = r.ReadBits(width)
+				want, wantErr = rr.readBits(width)
+			}
+			if !errors.Is(err, wantErr) || got != want {
+				t.Fatalf("sequence %d read %d: got %x, %v; reference %x, %v", seq, read, got, err, want, wantErr)
+			}
+			if err != nil {
+				if r.Remaining() != before {
+					t.Fatalf("sequence %d read %d: truncated read consumed %d bits", seq, read, before-r.Remaining())
+				}
+				break
+			}
+		}
+	}
+}
+
+func boolBit(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 func sampleCollection(n int) Collection {
 	c := Collection{Requests: make([]Request, n)}
 	for i := range c.Requests {
@@ -96,6 +228,71 @@ func TestCollectionRoundtrip(t *testing.T) {
 				t.Fatalf("N=%d request %d: got %+v, want %+v", n, i, got.Requests[i], c.Requests[i])
 			}
 		}
+	}
+}
+
+// ones returns a value with the low width bits set.
+func ones(width int) uint64 {
+	if width >= 64 {
+		return ^uint64(0)
+	}
+	return 1<<uint(width) - 1
+}
+
+// TestAllOnesRoundtrip fills every field to its full width — 64-bit
+// reservation, destination and acknowledgement fields at n=64, which the
+// codec moves as more than one chunk — and checks both packets come back
+// unchanged and go on the wire as solid one bits.
+func TestAllOnesRoundtrip(t *testing.T) {
+	for _, n := range []int{2, 64} {
+		c := Collection{Requests: make([]Request, n)}
+		for i := range c.Requests {
+			c.Requests[i] = Request{Prio: MaxPrio, Reserve: ring.LinkSet(ones(n)), Dests: ring.NodeSet(ones(n))}
+		}
+		buf, err := EncodeCollection(c, n)
+		if err != nil {
+			t.Fatalf("N=%d encode collection: %v", n, err)
+		}
+		checkAllOnes(t, fmt.Sprintf("N=%d collection", n), buf, CollectionBits(n))
+		got, err := DecodeCollection(buf, n)
+		if err != nil {
+			t.Fatalf("N=%d decode collection: %v", n, err)
+		}
+		for i := range c.Requests {
+			if got.Requests[i] != c.Requests[i] {
+				t.Fatalf("N=%d request %d: got %+v, want %+v", n, i, got.Requests[i], c.Requests[i])
+			}
+		}
+
+		d := Distribution{
+			HPNode: n - 1, Granted: ring.NodeSet(ones(n)), Acks: ring.NodeSet(ones(n)),
+			Barrier: true, Reduce: ^uint64(0),
+		}
+		buf, err = EncodeDistribution(d, n)
+		if err != nil {
+			t.Fatalf("N=%d encode distribution: %v", n, err)
+		}
+		checkAllOnes(t, fmt.Sprintf("N=%d distribution", n), buf, DistributionBits(n))
+		gotD, err := DecodeDistribution(buf, n)
+		if err != nil {
+			t.Fatalf("N=%d decode distribution: %v", n, err)
+		}
+		if gotD != d {
+			t.Fatalf("N=%d distribution: got %+v, want %+v", n, gotD, d)
+		}
+	}
+}
+
+// checkAllOnes requires buf to hold exactly bits one bits, zero-padded to a
+// whole byte.
+func checkAllOnes(t *testing.T, what string, buf []byte, bits int) {
+	t.Helper()
+	want := bytes.Repeat([]byte{0xFF}, (bits+7)/8)
+	if bits%8 != 0 {
+		want[len(want)-1] = byte(0xFF << uint(8-bits%8))
+	}
+	if !bytes.Equal(buf, want) {
+		t.Fatalf("%s: packet %x, want %d one bits", what, buf, bits)
 	}
 }
 
@@ -347,5 +544,58 @@ func BenchmarkDecodeCollection(b *testing.B) {
 		if _, err := DecodeCollection(buf, 16); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkControlCodec times the allocation-free codec entry points the
+// wire checker calls every slot, at the ring sizes where no field (N=8),
+// some fields (N=32: none above 56 bits, but 2209-bit packets) and every
+// node-set field (N=64: 64-bit fields, two chunks each) stress the packer.
+func BenchmarkControlCodec(b *testing.B) {
+	for _, n := range []int{8, 32, 64} {
+		c := sampleCollection(n)
+		d := Distribution{HPNode: n / 2, Granted: ring.NodeSet(0x5555555555555555 & ones(n)), Acks: ring.NodeSet(ones(n)), Reduce: 0xDEADBEEFCAFEF00D}
+		var w Writer
+		if err := EncodeCollectionInto(&w, c, n); err != nil {
+			b.Fatal(err)
+		}
+		coll := append([]byte(nil), w.Bytes()...)
+		if err := EncodeDistributionInto(&w, d, n); err != nil {
+			b.Fatal(err)
+		}
+		dist := append([]byte(nil), w.Bytes()...)
+		var got Collection
+		b.Run(fmt.Sprintf("EncodeCollectionInto/N=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := EncodeCollectionInto(&w, c, n); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("DecodeCollectionInto/N=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := DecodeCollectionInto(&got, coll, n); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("EncodeDistributionInto/N=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := EncodeDistributionInto(&w, d, n); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("DecodeDistribution/N=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := DecodeDistribution(dist, n); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
